@@ -83,9 +83,19 @@ std::vector<double> ClassificationScores(const std::vector<Cluster>& clusters,
   return scores;
 }
 
-ClassificationDecision Classify(const std::vector<Cluster>& clusters,
-                                const Vector& x,
-                                const ClassifierOptions& options) {
+namespace {
+
+/// Effective radius χ²_p(α) of Lemma 1; depends on the dimension only, so a
+/// batch evaluates it once.
+double EffectiveRadius(int dim, const ClassifierOptions& options) {
+  return stats::ChiSquaredUpperQuantile(options.alpha,
+                                        static_cast<double>(dim));
+}
+
+/// Algorithm 2 for one point against the precomputed `radius`.
+ClassificationDecision ClassifyWithin(const std::vector<Cluster>& clusters,
+                                      const Vector& x, double radius,
+                                      const ClassifierOptions& options) {
   const std::vector<double> scores =
       ClassificationScores(clusters, x, options);
   int best = 0;
@@ -99,13 +109,23 @@ ClassificationDecision Classify(const std::vector<Cluster>& clusters,
   decision.score = scores[static_cast<std::size_t>(best)];
   // Lemma 1 / Algorithm 2 line 4: the winner keeps the point only when it
   // falls inside the effective radius under the cluster's own metric.
-  decision.radius = stats::ChiSquaredUpperQuantile(
-      options.alpha, static_cast<double>(clusters.front().dim()));
+  decision.radius = radius;
   decision.radius_d2 =
       clusters[static_cast<std::size_t>(best)].DistanceSquared(
           x, options.scheme, options.min_variance);
   decision.cluster = decision.radius_d2 < decision.radius ? best : -1;
   return decision;
+}
+
+}  // namespace
+
+ClassificationDecision Classify(const std::vector<Cluster>& clusters,
+                                const Vector& x,
+                                const ClassifierOptions& options) {
+  QCLUSTER_CHECK(!clusters.empty());
+  return ClassifyWithin(clusters, x,
+                        EffectiveRadius(clusters.front().dim(), options),
+                        options);
 }
 
 std::vector<ClassificationDecision> ClassifyBatch(
@@ -119,6 +139,13 @@ std::vector<ClassificationDecision> ClassifyBatch(
   MetricAdd("classifier.points", static_cast<long long>(points.size()));
   std::vector<ClassificationDecision> decisions;
   decisions.reserve(points.size());
+  if (points.empty()) return decisions;
+  // Every cluster shares the points' dimension (a first cluster is founded
+  // from points.front() when the list is empty).
+  const double radius = EffectiveRadius(
+      clusters.empty() ? static_cast<int>(points.front().size())
+                       : clusters.front().dim(),
+      options);
   for (std::size_t i = 0; i < points.size(); ++i) {
     QCLUSTER_CHECK(scores[i] > 0.0);
     if (clusters.empty()) {
@@ -129,7 +156,8 @@ std::vector<ClassificationDecision> ClassifyBatch(
       decisions.push_back(d);
       continue;
     }
-    ClassificationDecision d = Classify(clusters, points[i], options);
+    ClassificationDecision d =
+        ClassifyWithin(clusters, points[i], radius, options);
     if (d.cluster >= 0) {
       clusters[static_cast<std::size_t>(d.cluster)].Add(points[i], scores[i]);
       MetricAdd("classifier.assigned");

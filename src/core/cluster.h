@@ -31,6 +31,9 @@ class Cluster {
   /// Merges two clusters using only their summaries (Eq. 11-13). Point lists
   /// are concatenated for bookkeeping.
   [[nodiscard]] static Cluster Merged(const Cluster& a, const Cluster& b);
+  /// Same merge, moving the operands' point lists into the result instead
+  /// of copying them.
+  [[nodiscard]] static Cluster Merged(Cluster&& a, Cluster&& b);
 
   /// Adds a point with relevance score `score > 0`.
   void Add(const linalg::Vector& x, double score);

@@ -1,8 +1,10 @@
 #include "core/hierarchical.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
+#include "core/pair_table.h"
 
 namespace qcluster::core {
 
@@ -50,27 +52,27 @@ std::vector<Cluster> HierarchicalCluster(const std::vector<Vector>& points,
     clusters.push_back(Cluster::FromPoint(points[i], scores[i]));
   }
 
+  // Linkage distances of every pair, updated per merge: only the merged
+  // cluster's row changes, so the closest-pair scan reads the values a full
+  // recomputation would produce.
+  const auto linkage = [&clusters, &options](int i, int j) {
+    return LinkageDistance(clusters[static_cast<std::size_t>(i)],
+                           clusters[static_cast<std::size_t>(j)],
+                           options.linkage);
+  };
+  PairTable distances(static_cast<int>(clusters.size()), linkage);
   while (static_cast<int>(clusters.size()) > options.target_clusters) {
-    // O(g²) closest-pair scan per merge; relevant sets are small (≤ k).
-    int best_i = -1;
-    int best_j = -1;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < clusters.size(); ++i) {
-      for (std::size_t j = i + 1; j < clusters.size(); ++j) {
-        const double d =
-            LinkageDistance(clusters[i], clusters[j], options.linkage);
-        if (d < best_d) {
-          best_d = d;
-          best_i = static_cast<int>(i);
-          best_j = static_cast<int>(j);
-        }
-      }
-    }
+    int best_i = 0;
+    int best_j = 0;
+    double best_d = 0.0;
+    // No finite distance (NaN features) leaves nothing to merge.
+    if (!distances.Closest(&best_i, &best_j, &best_d)) break;
     if (best_d > options.max_merge_distance) break;
-    clusters[static_cast<std::size_t>(best_i)] =
-        Cluster::Merged(clusters[static_cast<std::size_t>(best_i)],
-                        clusters[static_cast<std::size_t>(best_j)]);
+    Cluster& into = clusters[static_cast<std::size_t>(best_i)];
+    into = Cluster::Merged(
+        std::move(into), std::move(clusters[static_cast<std::size_t>(best_j)]));
     clusters.erase(clusters.begin() + best_j);
+    distances.Merge(best_i, best_j, linkage);
   }
   return clusters;
 }

@@ -47,11 +47,11 @@ void Standardize(std::vector<Vector>& rows) {
       var[j] += d * d;
     }
   }
-  for (double& v : var) v *= inv_n;
+  Vector sd(p);
+  for (std::size_t j = 0; j < p; ++j) sd[j] = std::sqrt(var[j] * inv_n);
   for (Vector& r : rows) {
     for (std::size_t j = 0; j < p; ++j) {
-      const double sd = std::sqrt(var[j]);
-      r[j] = sd > 1e-12 ? (r[j] - mean[j]) / sd : 0.0;
+      r[j] = sd[j] > 1e-12 ? (r[j] - mean[j]) / sd[j] : 0.0;
     }
   }
 }

@@ -22,11 +22,13 @@ Result<Pca> Pca::Fit(const std::vector<Vector>& rows) {
   // Sample covariance with 1/n normalization; the normalization constant
   // does not affect directions or variance ratios.
   Matrix cov(static_cast<int>(p), static_cast<int>(p), 0.0);
+  Vector centered(p);
   for (const Vector& r : rows) {
+    for (std::size_t j = 0; j < p; ++j) centered[j] = r[j] - mean[j];
     for (std::size_t i = 0; i < p; ++i) {
-      const double di = r[i] - mean[i];
+      const double di = centered[i];
       for (std::size_t j = i; j < p; ++j) {
-        cov(static_cast<int>(i), static_cast<int>(j)) += di * (r[j] - mean[j]);
+        cov(static_cast<int>(i), static_cast<int>(j)) += di * centered[j];
       }
     }
   }
@@ -68,26 +70,34 @@ double Pca::VarianceRatio(int k) const {
   return acc / total;
 }
 
-Vector Pca::Transform(const Vector& x, int k) const {
+void Pca::TransformRow(const Vector& x, int k, double* z) const {
   QCLUSTER_CHECK(static_cast<int>(x.size()) == input_dim());
-  QCLUSTER_CHECK(0 < k && k <= input_dim());
-  Vector centered = Sub(x, mean_);
-  Vector z(static_cast<std::size_t>(k), 0.0);
-  for (int c = 0; c < k; ++c) {
-    double sum = 0.0;
-    for (int r = 0; r < input_dim(); ++r) {
-      sum += eigen_.vectors(r, c) * centered[static_cast<std::size_t>(r)];
-    }
-    z[static_cast<std::size_t>(c)] = sum;
+  // z_c = Σ_r G(r, c)·(x_r − mean_r), each sum accumulated in r order.
+  // Walking G row by row keeps the reads contiguous.
+  const int p = input_dim();
+  std::fill(z, z + k, 0.0);
+  for (int r = 0; r < p; ++r) {
+    const double centered =
+        x[static_cast<std::size_t>(r)] - mean_[static_cast<std::size_t>(r)];
+    const double* g = eigen_.vectors.data() + static_cast<std::size_t>(r) * p;
+    for (int c = 0; c < k; ++c) z[c] += g[c] * centered;
   }
+}
+
+Vector Pca::Transform(const Vector& x, int k) const {
+  QCLUSTER_CHECK(0 < k && k <= input_dim());
+  Vector z(static_cast<std::size_t>(k));
+  TransformRow(x, k, z.data());
   return z;
 }
 
 std::vector<Vector> Pca::TransformAll(const std::vector<Vector>& rows,
                                       int k) const {
-  std::vector<Vector> out;
-  out.reserve(rows.size());
-  for (const Vector& r : rows) out.push_back(Transform(r, k));
+  QCLUSTER_CHECK(0 < k && k <= input_dim());
+  std::vector<Vector> out(rows.size(), Vector(static_cast<std::size_t>(k)));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    TransformRow(rows[i], k, out[i].data());
+  }
   return out;
 }
 

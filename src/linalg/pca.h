@@ -53,6 +53,10 @@ class Pca {
   Pca(Vector mean, SymmetricEigen eigen)
       : mean_(std::move(mean)), eigen_(std::move(eigen)) {}
 
+  /// Row kernel of Transform/TransformAll: writes the first `k` principal
+  /// coordinates of `x` into `z`.
+  void TransformRow(const Vector& x, int k, double* z) const;
+
   Vector mean_;
   SymmetricEigen eigen_;
 };

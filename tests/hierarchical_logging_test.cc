@@ -1,6 +1,8 @@
 // Coverage for the hierarchical clustering linkage variants and the
 // logging / bootstrap utilities.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -75,6 +77,22 @@ TEST(HierarchicalTest, ScoresWeightCentroids) {
       HierarchicalCluster({{0.0}, {10.0}}, {1.0, 3.0}, opt);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_NEAR(clusters[0].centroid()[0], 7.5, 1e-12);  // Eq. 2 weighting.
+}
+
+TEST(HierarchicalTest, NanPointsStayUnmerged) {
+  // NaN coordinates leave no finite centroid or single-linkage distance:
+  // no pair is closest, so every point stays a singleton instead of merging
+  // an invalid pair.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Vector> pts{{nan, 0.0}, {nan, 1.0}, {nan, 2.0}};
+  const std::vector<double> scores(pts.size(), 1.0);
+  for (Linkage linkage : {Linkage::kCentroid, Linkage::kSingle}) {
+    HierarchicalOptions opt;
+    opt.target_clusters = 1;
+    opt.linkage = linkage;
+    const auto clusters = HierarchicalCluster(pts, scores, opt);
+    EXPECT_EQ(clusters.size(), 3u);
+  }
 }
 
 TEST(LoggingTest, LevelFilterRoundTrip) {

@@ -1,6 +1,7 @@
 #include "core/merging.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +145,25 @@ TEST(MergingTest, NoMergeBelowCapWhenDistinct) {
   const MergeReport report = MergeClusters(clusters, opt);
   EXPECT_EQ(report.merges, 0);
   EXPECT_EQ(clusters.size(), 2u);
+}
+
+TEST(MergingTest, NoFiniteT2StopsInsteadOfAborting) {
+  // A NaN coordinate makes every pair's T² NaN, so no pair can be ranked.
+  // Over the cap, merging must stop and return rather than merge a
+  // non-existent pair. (Under QCLUSTER_AUDIT=1 the Eq. 14 validator logs
+  // each NaN T²; that is expected for this input.)
+  std::vector<Cluster> clusters;
+  for (int i = 0; i < 7; ++i) {
+    clusters.push_back(Cluster::FromPoint(
+        {std::numeric_limits<double>::quiet_NaN(), 1.0 * i, 0.0}, 1.0));
+  }
+  MergeOptions opt;
+  opt.max_clusters = 5;
+  const MergeReport report = MergeClusters(clusters, opt);
+  EXPECT_EQ(clusters.size(), 7u);
+  EXPECT_EQ(report.merges, 0);
+  EXPECT_EQ(report.forced_merges, 0);
+  EXPECT_EQ(report.final_alpha, opt.alpha);
 }
 
 }  // namespace
