@@ -53,10 +53,13 @@ struct QclusterOptions {
   /// the session-resident index::WarmStart cache): every k-NN round runs
   /// through KnnIndex::SearchWarm, which re-scores the cached survivors for
   /// a certified θ₀ upper bound on the k-th distance and prunes with it.
-  /// Effective on every index path — BrTree skips cached leaves, the linear
-  /// scan rejects at heap admission, filter-refine tightens its survivor
-  /// bound, the VA-file stops its candidate walk early — and results stay
-  /// bit-for-bit identical to cold searches.
+  /// Effective on every index path — BrTree starts its descent from the k
+  /// best cached points and never re-reads a cached leaf, the linear scan
+  /// rejects at heap admission, filter-refine tightens its survivor bound,
+  /// the VA-file stops its candidate walk early — and results stay
+  /// bit-for-bit identical to cold searches. On by default: on the paper's
+  /// collection a warm BR-tree round also takes less wall time than a cold
+  /// one (docs/PERFORMANCE.md).
   bool use_query_cache = true;
   /// Dimensionality k' of the PCA filter-and-refine pre-filter (Sec. 4.4 /
   /// Eq. 17-19). 0 (default) disables it and queries go to the engine's

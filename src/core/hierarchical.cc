@@ -1,6 +1,7 @@
 #include "core/hierarchical.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -29,7 +30,11 @@ double LinkageDistance(const Cluster& a, const Cluster& b, Linkage linkage) {
       double worst = 0.0;
       for (const Vector& pa : a.points()) {
         for (const Vector& pb : b.points()) {
-          worst = std::max(worst, linalg::SquaredDistance(pa, pb));
+          const double d = linalg::SquaredDistance(pa, pb);
+          // std::max would drop a NaN; returning it makes
+          // PairTable::Closest skip the pair, as for the other linkages.
+          if (std::isnan(d)) return d;
+          worst = std::max(worst, d);
         }
       }
       return worst;

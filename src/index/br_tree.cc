@@ -1,20 +1,30 @@
 #include "index/br_tree.h"
 
 #include <algorithm>
-#include <limits>
+#include <atomic>
 #include <queue>
-#include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "index/linear_scan.h"
 
 namespace qcluster::index {
 
 using linalg::Vector;
 
+namespace {
+
+std::uint64_t NextTreeId() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 BrTree::BrTree(const std::vector<Vector>* points, const Options& options)
-    : points_(points) {
+    : points_(points), tree_id_(NextTreeId()) {
   QCLUSTER_CHECK(points != nullptr);
   QCLUSTER_CHECK(options.leaf_size >= 1);
   ids_.resize(points_->size());
@@ -81,39 +91,50 @@ std::vector<Neighbor> BrTree::Search(const DistanceFunction& dist, int k,
 std::vector<Neighbor> BrTree::SearchWarm(const DistanceFunction& dist, int k,
                                          WarmStart& warm,
                                          SearchStats* stats) const {
-  // Re-score the cached candidates with one batched kernel call (or reuse
-  // the stored distances on an exact metric-key match) — the scalar
-  // per-point rescoring loop this replaces did the same work one point at
-  // a time. The seed is only usable when ≥ k candidates are cached; the
-  // cached-leaf skip likewise requires every cached candidate to have been
-  // offered, so both gate on seed validity together.
-  const WarmStart::Seed seed = warm.Reseed(dist, k, *points_);
-  std::vector<Neighbor> touched;
-  std::unordered_set<int> touched_leaves;
+  // Only a cache this tree recorded seeds it: its points are then exactly
+  // the members of its cached leaves (leaves partition ids_), so skipping
+  // those leaves after the seed neither loses nor repeats a point. Any
+  // other cache runs cold and is replaced below; θ₀ only ever prunes, so
+  // the results are the same either way.
+  WarmStart::Seed seed;
+  if (warm.leaf_owner() == tree_id_) seed = warm.Reseed(dist, k, *points_);
+  const bool seeded = seed.valid();
+  std::vector<Neighbor> fetched;
+  std::vector<int> leaves;
   SearchStats call_stats;
   std::vector<Neighbor> result = SearchImpl(
-      dist, k, seed.valid() ? &seed : nullptr,
-      seed.valid() ? &warm.leaves() : nullptr, &touched, &touched_leaves,
-      &call_stats);
+      dist, k, seeded ? &seed : nullptr, seeded ? &warm.leaves() : nullptr,
+      &fetched, &leaves, &call_stats);
   if (stats != nullptr) *stats += call_stats;
   double pruned_frac = -1.0;
-  if (seed.valid() && !points_->empty()) {
+  if (seeded && !points_->empty()) {
     // Fraction of the database never evaluated this round — tree pruning
     // plus the leaf pages the cache made free.
     const auto n = static_cast<double>(points_->size());
     pruned_frac = (n - static_cast<double>(call_stats.distance_evaluations)) /
                   n;
   }
-  warm.Record(dist, touched);
-  warm.mutable_leaves() = std::move(touched_leaves);
   FinishWarmSearch("index.br_tree", seed, result, pruned_frac);
+  // The next round's cache: the cached leaves plus the ones read now, and
+  // all of their points.
+  std::vector<Neighbor> cache;
+  if (seeded) {
+    cache = std::move(seed.scored);
+    cache.insert(cache.end(), fetched.begin(), fetched.end());
+    leaves.insert(leaves.end(), warm.leaves().begin(), warm.leaves().end());
+  } else {
+    cache = std::move(fetched);
+  }
+  std::sort(leaves.begin(), leaves.end());
+  warm.Record(dist, cache);
+  warm.SetLeaves(tree_id_, std::move(leaves));
   return result;
 }
 
 std::vector<Neighbor> BrTree::SearchImpl(
     const DistanceFunction& dist, int k, const WarmStart::Seed* seed,
-    const std::unordered_set<int>* cached_leaves, std::vector<Neighbor>* touched,
-    std::unordered_set<int>* touched_leaves, SearchStats* stats) const {
+    const std::vector<int>* cached_leaves, std::vector<Neighbor>* fetched,
+    std::vector<int>* fetched_leaves, SearchStats* stats) const {
   QCLUSTER_CHECK(k > 0);
   if (root_ < 0) return {};
   QCLUSTER_TRACE_SPAN(span, "index.br_tree.search");
@@ -122,48 +143,18 @@ std::vector<Neighbor> BrTree::SearchImpl(
   span.AddAttr("warm", seed != nullptr ? 1 : 0);
   QCLUSTER_TIMED("index.br_tree.search");
   SearchStats local;
+  long long cached_leaves_skipped = 0;
 
-  const auto neighbor_cmp = [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  };
-  // Max-heap of the best k seen so far; top is the current k-th distance.
-  std::priority_queue<Neighbor, std::vector<Neighbor>,
-                      decltype(neighbor_cmp)>
-      best(neighbor_cmp);
-  auto offer = [&](int id, double d) {
-    if (static_cast<int>(best.size()) < k) {
-      best.push(Neighbor{id, d});
-    } else if (d < best.top().distance ||
-               (d == best.top().distance && id < best.top().id)) {
-      best.pop();
-      best.push(Neighbor{id, d});
-    }
-  };
-  auto kth_bound = [&] {
-    return static_cast<int>(best.size()) < k
-               ? std::numeric_limits<double>::infinity()
-               : best.top().distance;
-  };
-
-  // Warm start: offer the previous iterations' candidates first, already
-  // re-scored under this round's metric by WarmStart::Reseed (pure
-  // in-memory work — their leaf pages are cached). The resulting k-th
-  // distance bound prunes most of the refined query's tree, and cached
-  // leaves are never fetched again. `warm_ids` guards against offering a
-  // candidate twice when an uncached leaf overlaps the candidate set.
-  std::unordered_set<int> warm_ids;
+  BoundedTopK best(k);
+  // Warm start: the seed's first k entries are the k smallest cached
+  // candidates, already re-scored under this round's metric. They are the
+  // heap that offering every cached candidate would build, so the descent
+  // starts with the k-th distance at θ₀.
   if (seed != nullptr) {
-    warm_ids.reserve(seed->scored.size());
-    for (const Neighbor& c : seed->scored) {
-      if (!warm_ids.insert(c.id).second) continue;
-      offer(c.id, c.distance);
-      if (touched != nullptr) touched->push_back(c);
+    for (int i = 0; i < k; ++i) {
+      best.Push(seed->scored[static_cast<std::size_t>(i)]);
     }
     local.distance_evaluations += seed->evaluations;
-    if (touched_leaves != nullptr && cached_leaves != nullptr) {
-      *touched_leaves = *cached_leaves;
-    }
   }
 
   // Best-first traversal ordered by rectangle lower bounds.
@@ -183,43 +174,49 @@ std::vector<Neighbor> BrTree::SearchImpl(
   while (!frontier.empty()) {
     const Entry entry = frontier.top();
     frontier.pop();
-    if (entry.bound > kth_bound()) break;  // Nothing closer remains.
+    if (entry.bound > best.KthDistance()) break;  // Nothing closer remains.
     const Node& node = nodes_[static_cast<std::size_t>(entry.node)];
     ++local.nodes_visited;
     if (node.IsLeaf()) {
-      // A leaf whose page is in the iteration cache costs no IO and its
-      // points were already offered during the warm phase.
-      if (cached_leaves != nullptr && cached_leaves->contains(entry.node)) {
+      // A leaf whose page is in the iteration cache costs no IO, and its
+      // points were already in the seed.
+      if (cached_leaves != nullptr &&
+          std::binary_search(cached_leaves->begin(), cached_leaves->end(),
+                             entry.node)) {
+        ++cached_leaves_skipped;
         continue;
       }
       ++local.leaves_visited;
-      if (touched_leaves != nullptr) touched_leaves->insert(entry.node);
-      for (int i = node.begin; i < node.end; ++i) {
-        const int id = ids_[static_cast<std::size_t>(i)];
-        if (!warm_ids.empty() && warm_ids.contains(id)) continue;
-        const double d =
-            dist.Distance((*points_)[static_cast<std::size_t>(id)]);
-        offer(id, d);
-        ++local.distance_evaluations;
-        if (touched != nullptr) touched->push_back(Neighbor{id, d});
+      if (fetched_leaves != nullptr) fetched_leaves->push_back(entry.node);
+      const int* page = ids_.data() + node.begin;
+      const auto count = static_cast<std::size_t>(node.end - node.begin);
+      thread_local std::vector<double> scores;
+      scores.resize(count);
+      ScoreRows(dist, *points_, page, count, scores.data());
+      for (std::size_t j = 0; j < count; ++j) {
+        const Neighbor n{page[j], scores[j]};
+        best.Push(n);
+        if (fetched != nullptr) fetched->push_back(n);
       }
+      local.distance_evaluations += static_cast<long long>(count);
     } else {
       for (int child : {node.left, node.right}) {
         const double bound =
             dist.MinDistance(nodes_[static_cast<std::size_t>(child)].rect);
-        if (bound <= kth_bound()) frontier.push(Entry{bound, child});
+        if (bound <= best.KthDistance()) frontier.push(Entry{bound, child});
       }
     }
   }
 
-  std::vector<Neighbor> result(best.size());
-  for (std::size_t i = result.size(); i-- > 0;) {
-    result[i] = best.top();
-    best.pop();
-  }
+  std::vector<Neighbor> result = std::move(best).TakeSorted();
   span.AddAttr("nodes_visited", local.nodes_visited);
-  span.AddAttr("leaves_visited", local.leaves_visited);
-  if (seed != nullptr) MetricAdd("index.br_tree.warm_searches");
+  span.AddAttr("leaves_fetched", local.leaves_visited);
+  span.AddAttr("cached_leaves_skipped", cached_leaves_skipped);
+  if (seed != nullptr && MetricsEnabled()) {
+    MetricAdd("index.br_tree.warm_searches");
+    MetricAdd("index.br_tree.warm.leaf_hits", cached_leaves_skipped);
+    MetricAdd("index.br_tree.warm.leaf_misses", local.leaves_visited);
+  }
   FinishSearch("index.br_tree", local, stats);
   return result;
 }

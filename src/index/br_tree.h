@@ -1,7 +1,7 @@
 #ifndef QCLUSTER_INDEX_BR_TREE_H_
 #define QCLUSTER_INDEX_BR_TREE_H_
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "index/knn.h"
@@ -21,13 +21,14 @@ namespace qcluster::index {
 /// Relevance-feedback refinement support: consecutive feedback iterations
 /// issue *similar* queries, and the multipoint approach of [7] amortizes
 /// work by reusing index information across iterations. The shared
-/// `index::WarmStart` session cache keeps the candidate set touched by the
-/// previous iteration (plus a BrTree-private set of fetched leaf pages);
-/// SearchWarm re-scores those candidates first — one batched kernel call,
-/// or free on an exact metric-key match — which yields a tight upper bound
-/// on the k-th distance, prunes most node expansions of the refined query
-/// (measured in Fig. 7's cost comparison), and never re-reads a cached
-/// leaf.
+/// `index::WarmStart` session cache keeps the leaf pages the previous
+/// iterations fetched and their points, tagged with this tree's identity.
+/// SearchWarm re-scores those points first — one batched kernel call, or
+/// free on an exact metric-key match — and starts the descent with the k
+/// best of them, whose k-th distance θ₀ bounds the true k-th distance. That
+/// prunes most node expansions of the refined query, and a cached leaf is
+/// never read again (Fig. 7's cost comparison). A fetched leaf is scored
+/// with one DistanceBatch call.
 class BrTree final : public KnnIndex {
  public:
   struct Options {
@@ -47,9 +48,11 @@ class BrTree final : public KnnIndex {
       const DistanceFunction& dist, int k,
       SearchStats* stats = nullptr) const override;
 
-  /// Best-first search warm-started from `warm` (cold when empty). On
-  /// return the cache holds this iteration's touched candidates and leaf
-  /// pages, ready for the next refinement step.
+  /// Best-first search warm-started from `warm`. It runs cold when the
+  /// cache holds fewer than k points or was not recorded by this tree (or a
+  /// copy of it). On return the cache holds every leaf page fetched so far
+  /// in the session and those pages' points, ready for the next
+  /// refinement step.
   [[nodiscard]] std::vector<Neighbor> SearchWarm(
       const DistanceFunction& dist, int k, WarmStart& warm,
       SearchStats* stats = nullptr) const override;
@@ -71,19 +74,23 @@ class BrTree final : public KnnIndex {
 
   int Build(int begin, int end, int leaf_size);
 
-  /// Shared traversal body. `seed` (nullable) offers the re-scored cached
-  /// candidates before the descent and `cached_leaves` marks leaf pages
-  /// whose every point is among them (skipped without IO). `touched` /
-  /// `touched_leaves` (nullable) collect this iteration's scored
-  /// candidates and fetched leaves for the next round's cache.
+  /// Shared traversal body. `seed` (nullable) fills the heap with its k
+  /// smallest candidates before the descent; `cached_leaves` (ascending,
+  /// non-null iff `seed` is) lists the leaf pages whose points are the
+  /// seed's, skipped without IO. `fetched` / `fetched_leaves` (nullable)
+  /// collect the points this call scored and the leaves it read.
   std::vector<Neighbor> SearchImpl(const DistanceFunction& dist, int k,
                                    const WarmStart::Seed* seed,
-                                   const std::unordered_set<int>* cached_leaves,
-                                   std::vector<Neighbor>* touched,
-                                   std::unordered_set<int>* touched_leaves,
+                                   const std::vector<int>* cached_leaves,
+                                   std::vector<Neighbor>* fetched,
+                                   std::vector<int>* fetched_leaves,
                                    SearchStats* stats) const;
 
   const std::vector<linalg::Vector>* points_;
+  /// Process-unique identity, the owner tag of the WarmStart payloads this
+  /// tree records. Unlike `this`, it is never reused by a later tree at
+  /// the same address.
+  std::uint64_t tree_id_;
   std::vector<int> ids_;       ///< Point ids, permuted so leaves are ranges.
   std::vector<Node> nodes_;
   int root_ = -1;

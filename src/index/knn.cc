@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/metrics.h"
 
@@ -18,11 +19,27 @@ void FinishSearch(const char* index_name, const SearchStats& delta,
   MetricAdd(prefix + ".leaves_visited", delta.leaves_visited);
 }
 
+void ScoreRows(const DistanceFunction& dist,
+               const std::vector<linalg::Vector>& rows, const int* ids,
+               std::size_t n, double* out) {
+  if (n == 0) return;
+  const std::size_t dim = rows[static_cast<std::size_t>(ids[0])].size();
+  thread_local linalg::AlignedBuffer packed;
+  packed.resize(n * dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    const linalg::Vector& src = rows[static_cast<std::size_t>(ids[i])];
+    std::copy(src.begin(), src.end(), packed.data() + i * dim);
+  }
+  dist.DistanceBatch(
+      linalg::FlatView{packed.data(), n, static_cast<int>(dim)}, out);
+}
+
 void WarmStart::Clear() {
   ids_.clear();
   distances_.clear();
   has_key_ = false;
   key_ = QuadraticDecomposition{};
+  leaf_owner_ = 0;
   leaves_.clear();
 }
 
@@ -39,7 +56,13 @@ void WarmStart::Record(const DistanceFunction& dist,
   key_ = QuadraticDecomposition{};
   has_key_ = dist.Decompose(&key_);
   if (!has_key_) key_ = QuadraticDecomposition{};
+  leaf_owner_ = 0;
   leaves_.clear();
+}
+
+void WarmStart::SetLeaves(std::uint64_t owner, std::vector<int> leaves) {
+  leaf_owner_ = owner;
+  leaves_ = std::move(leaves);
 }
 
 bool WarmStart::KeyMatches(const DistanceFunction& dist) const {
@@ -50,21 +73,21 @@ bool WarmStart::KeyMatches(const DistanceFunction& dist) const {
 }
 
 WarmStart::Seed WarmStart::SeedFromScores(int k, std::vector<Neighbor> scored,
-                                          long long evals, bool reused) const {
+                                          long long evals, bool reused) {
   Seed seed;
   seed.scored = std::move(scored);
   seed.evaluations = evals;
   seed.reused = reused;
   // θ₀ = k-th smallest exact distance among the cached candidates, with the
   // same (distance, id) tiebreak every index uses, so the certificate is a
-  // value the cold path itself could have produced.
-  std::vector<Neighbor> order = seed.scored;
-  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
-                   [](const Neighbor& a, const Neighbor& b) {
-                     return a.distance != b.distance ? a.distance < b.distance
-                                                     : a.id < b.id;
-                   });
-  seed.theta0 = order[k - 1].distance;
+  // value the cold path itself could have produced. Partitioning in place
+  // also leaves the k smallest at the front for a BrTree's heap.
+  const auto closer = [](const Neighbor& a, const Neighbor& b) {
+    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
+  };
+  std::nth_element(seed.scored.begin(), seed.scored.begin() + (k - 1),
+                   seed.scored.end(), closer);
+  seed.theta0 = seed.scored[static_cast<std::size_t>(k - 1)].distance;
   return seed;
 }
 
@@ -113,19 +136,9 @@ WarmStart::Seed WarmStart::Reseed(const DistanceFunction& dist, int k,
     }
     return SeedFromScores(k, std::move(scored), 0, /*reused=*/true);
   }
-  // Pack the pointer-chased cached rows once, then score them with a single
-  // DistanceBatch call — the same kernel the cold scan uses.
-  const int dim = static_cast<int>(rows.front().size());
-  thread_local linalg::AlignedBuffer packed;
-  packed.resize(ids_.size() * static_cast<std::size_t>(dim));
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    const linalg::Vector& src = rows[static_cast<std::size_t>(ids_[i])];
-    std::copy(src.begin(), src.end(), packed.data() + i * dim);
-  }
   thread_local std::vector<double> scores;
   scores.resize(ids_.size());
-  dist.DistanceBatch(linalg::FlatView{packed.data(), ids_.size(), dim},
-                     scores.data());
+  ScoreRows(dist, rows, ids_.data(), ids_.size(), scores.data());
   std::vector<Neighbor> scored;
   scored.reserve(ids_.size());
   for (std::size_t i = 0; i < ids_.size(); ++i) {

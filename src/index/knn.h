@@ -1,8 +1,8 @@
 #ifndef QCLUSTER_INDEX_KNN_H_
 #define QCLUSTER_INDEX_KNN_H_
 
+#include <cstdint>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "index/distance.h"
@@ -41,6 +41,13 @@ struct SearchStats {
 void FinishSearch(const char* index_name, const SearchStats& delta,
                   SearchStats* out);
 
+/// Scores the pointer-chased rows `rows[ids[0..n)]` under `dist` into
+/// `out[0..n)`: gathers them into a thread_local aligned block, then makes
+/// one DistanceBatch call, which equals Distance bit for bit.
+void ScoreRows(const DistanceFunction& dist,
+               const std::vector<linalg::Vector>& rows, const int* ids,
+               std::size_t n, double* out);
+
 /// Session-resident cross-round candidate cache. Relevance feedback makes
 /// round t+1's metric a small perturbation of round t's, so the previous
 /// round's survivors are near-optimal candidates for the next pass: before
@@ -61,6 +68,14 @@ void FinishSearch(const char* index_name, const SearchStats& delta,
 /// and never match, so a stale distance can never be served by
 /// construction; at worst the cache pays |ids| fresh evaluations.
 ///
+/// BrTree payload: besides the candidates, a BrTree records the leaf pages
+/// it has fetched, tagged with that tree's identity. Leaves partition the
+/// tree's ids, so the candidates it records are exactly the members of
+/// those leaves; the tree may then skip the pages without losing or
+/// double-offering a point. Every Record and Clear drops the payload, so a
+/// cache written by any other index or tree carries no tag and the tree
+/// runs it cold.
+///
 /// Thread safety: externally synchronized. The engine owns one WarmStart
 /// per session and RetrievalSession guards the engine with its mutex; the
 /// re-scoring scratch inside Reseed is thread_local.
@@ -68,7 +83,9 @@ class WarmStart {
  public:
   /// One round's attempt to warm-start a search from the cache.
   struct Seed {
-    /// Cached survivors scored under the current metric (stored id order).
+    /// Cached survivors scored under the current metric, partitioned so the
+    /// first k entries are the k smallest by (distance, id); the order
+    /// within and after them is unspecified.
     std::vector<Neighbor> scored;
     /// Certified upper bound on the true k-th distance; +inf when the cache
     /// held fewer than k candidates (warm path disabled, cold-equivalent).
@@ -84,13 +101,13 @@ class WarmStart {
   const std::vector<int>& ids() const { return ids_; }
   bool has_key() const { return has_key_; }
 
-  /// Drops all cached state (candidates, metric key, leaf payload).
+  /// Drops all cached state (candidates, metric key, BrTree payload).
   void Clear();
 
   /// Replaces the cached candidates with `scored` — one round's survivors
   /// with their exact distances under `dist` — and stores `dist`'s
-  /// decomposition as the reuse key (no key for opaque metrics). Resets the
-  /// BrTree leaf payload; BrTree re-installs its own after recording.
+  /// decomposition as the reuse key (no key for opaque metrics). Drops the
+  /// BrTree payload; a BrTree installs its own after recording.
   void Record(const DistanceFunction& dist, const std::vector<Neighbor>& scored);
 
   /// Seeds the next round: re-scores the cached candidates under `dist`
@@ -103,21 +120,26 @@ class WarmStart {
   Seed Reseed(const DistanceFunction& dist, int k,
               const std::vector<linalg::Vector>& rows) const;
 
-  /// BrTree-private payload: leaf pages whose every entry is already in
-  /// ids(), safe to skip when the seed re-offers all cached candidates.
-  std::unordered_set<int>& mutable_leaves() { return leaves_; }
-  const std::unordered_set<int>& leaves() const { return leaves_; }
+  /// BrTree payload: the identity of the tree that recorded ids() (0 when
+  /// none did) and its leaf pages, ascending node ids whose members are
+  /// exactly ids().
+  std::uint64_t leaf_owner() const { return leaf_owner_; }
+  const std::vector<int>& leaves() const { return leaves_; }
+  /// Installs the payload; call right after Record with the same round's
+  /// leaves.
+  void SetLeaves(std::uint64_t owner, std::vector<int> leaves);
 
  private:
-  Seed SeedFromScores(int k, std::vector<Neighbor> scored, long long evals,
-                      bool reused) const;
+  static Seed SeedFromScores(int k, std::vector<Neighbor> scored,
+                             long long evals, bool reused);
   bool KeyMatches(const DistanceFunction& dist) const;
 
   std::vector<int> ids_;
   std::vector<double> distances_;
   bool has_key_ = false;
   QuadraticDecomposition key_;
-  std::unordered_set<int> leaves_;
+  std::uint64_t leaf_owner_ = 0;
+  std::vector<int> leaves_;
 };
 
 /// Folds one warm-started search's outcome into the metrics registry:

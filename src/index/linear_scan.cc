@@ -42,6 +42,11 @@ void BoundedTopK::Push(const Neighbor& candidate) {
   std::push_heap(heap_.begin(), heap_.end(), Closer);
 }
 
+double BoundedTopK::KthDistance() const {
+  return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
+                           : heap_.front().distance;
+}
+
 std::vector<Neighbor> BoundedTopK::TakeSorted() && {
   std::sort_heap(heap_.begin(), heap_.end(), Closer);
   return std::move(heap_);

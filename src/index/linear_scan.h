@@ -59,7 +59,7 @@ class LinearScanIndex final : public KnnIndex {
 
 /// A fixed-capacity max-heap of the k closest neighbors seen so far, with
 /// (distance, id) ordering so ties resolve deterministically. The shard-
-/// local accumulator of the parallel scan.
+/// local accumulator of the parallel scan and the BR-tree's result heap.
 class BoundedTopK {
  public:
   explicit BoundedTopK(int k);
@@ -71,6 +71,9 @@ class BoundedTopK {
   std::vector<Neighbor> TakeSorted() &&;
 
   int size() const { return static_cast<int>(heap_.size()); }
+
+  /// The k-th smallest distance held; +inf while fewer than k are held.
+  double KthDistance() const;
 
  private:
   std::size_t k_;

@@ -80,18 +80,32 @@ TEST(HierarchicalTest, ScoresWeightCentroids) {
 }
 
 TEST(HierarchicalTest, NanPointsStayUnmerged) {
-  // NaN coordinates leave no finite centroid or single-linkage distance:
-  // no pair is closest, so every point stays a singleton instead of merging
-  // an invalid pair.
+  // NaN coordinates leave no finite centroid, single- or complete-linkage
+  // distance: no pair is closest, so every point stays a singleton instead
+  // of merging an invalid pair.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<Vector> pts{{nan, 0.0}, {nan, 1.0}, {nan, 2.0}};
   const std::vector<double> scores(pts.size(), 1.0);
-  for (Linkage linkage : {Linkage::kCentroid, Linkage::kSingle}) {
+  for (Linkage linkage :
+       {Linkage::kCentroid, Linkage::kSingle, Linkage::kComplete}) {
     HierarchicalOptions opt;
     opt.target_clusters = 1;
     opt.linkage = linkage;
     const auto clusters = HierarchicalCluster(pts, scores, opt);
     EXPECT_EQ(clusters.size(), 3u);
+  }
+  // Beside a finite point, the NaN points still merge with nothing.
+  const std::vector<Vector> mixed{
+      {nan, 0.0}, {nan, 1.0}, {nan, 2.0}, {5.0, 5.0}};
+  const std::vector<double> mixed_scores(mixed.size(), 1.0);
+  for (Linkage linkage :
+       {Linkage::kCentroid, Linkage::kSingle, Linkage::kComplete}) {
+    HierarchicalOptions opt;
+    opt.target_clusters = 2;
+    opt.linkage = linkage;
+    const auto clusters = HierarchicalCluster(mixed, mixed_scores, opt);
+    ASSERT_EQ(clusters.size(), 4u);
+    for (const Cluster& c : clusters) EXPECT_EQ(c.size(), 1);
   }
 }
 

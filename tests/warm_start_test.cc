@@ -15,16 +15,19 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
+#include "core/engine.h"
 #include "index/br_tree.h"
 #include "index/filter_refine.h"
 #include "index/linear_scan.h"
@@ -371,6 +374,157 @@ TEST_F(WarmSimdTest, TiersAgreeWithScalarColdRounds) {
       }
     }
   }
+}
+
+/// 4,000 Gaussian points in d = 3: enough leaves that two trees with
+/// different leaf sizes reuse each other's node ids for different pages.
+const std::vector<Vector>& GaussianCloud() {
+  static const auto* pts = [] {
+    Rng rng(7);
+    auto* out = new std::vector<Vector>();
+    for (int i = 0; i < 4000; ++i) out->push_back(rng.GaussianVector(3));
+    return out;
+  }();
+  return *pts;
+}
+
+TEST(WarmForeignCacheTest, CacheFromAnotherTreeStaysExact) {
+  // Tree A's cached leaf payload names A's node ids; tree B must not read
+  // them as its own pages. B answers exactly as its cold search does.
+  const auto& pts = GaussianCloud();
+  const index::BrTree tree_a(&pts, index::BrTree::Options{32});
+  const index::BrTree tree_b(&pts, index::BrTree::Options{31});
+  constexpr int k = 50;
+  int mismatches = 0;
+  for (int q = 0; q < 200; ++q) {
+    const index::EuclideanDistance first(pts[static_cast<std::size_t>(q)]);
+    const index::EuclideanDistance second(
+        pts[static_cast<std::size_t>(3999 - 7 * q)]);
+    index::WarmStart warm;
+    DiscardResult(tree_a.SearchWarm(first, k, warm));
+    if (tree_b.SearchWarm(second, k, warm) != tree_b.Search(second, k)) {
+      ++mismatches;
+    }
+    // The cache B re-recorded is B's own and keeps serving B exactly.
+    EXPECT_EQ(tree_b.SearchWarm(first, k, warm), tree_b.Search(first, k))
+        << "query " << q;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(WarmForeignCacheTest, CacheFromLinearScanStaysExact) {
+  const auto& pts = GaussianCloud();
+  const index::LinearScanIndex scan(&pts);
+  const index::BrTree tree(&pts);
+  constexpr int k = 50;
+  for (int q = 0; q < 100; ++q) {
+    const index::EuclideanDistance first(pts[static_cast<std::size_t>(q)]);
+    const index::EuclideanDistance second(
+        pts[static_cast<std::size_t>(q + 1)]);
+    index::WarmStart warm;
+    DiscardResult(scan.SearchWarm(first, k, warm));
+    EXPECT_EQ(tree.SearchWarm(second, k, warm), tree.Search(second, k))
+        << "query " << q;
+  }
+}
+
+/// One round's work as the engine's index reports it.
+struct RoundWork {
+  long long leaves;
+  long long nodes;
+  long long evaluations;
+  int cache_size;
+
+  friend bool operator==(const RoundWork&, const RoundWork&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const RoundWork& w) {
+    return os << "{" << w.leaves << ", " << w.nodes << ", " << w.evaluations
+              << ", " << w.cache_size << "}";
+  }
+};
+
+/// A seeded session over a BrTree: three Gaussian categories of 300 points
+/// in a uniform background of 2,100, an initial query between categories 0
+/// and 1, then five feedback rounds marking every result from either.
+std::vector<RoundWork> SessionWork(
+    bool use_query_cache, std::vector<std::vector<Neighbor>>* results) {
+  static const auto* pts = [] {
+    Rng rng(1603);
+    auto* out = new std::vector<Vector>();
+    const Vector centres[] = {{0.0, 0.0, 0.0}, {3.0, 0.5, -1.0},
+                              {-2.0, 2.5, 1.5}};
+    for (const Vector& c : centres) {
+      for (int i = 0; i < 300; ++i) {
+        out->push_back(
+            linalg::Add(c, linalg::Scale(rng.GaussianVector(3), 0.6)));
+      }
+    }
+    for (int i = 0; i < 2100; ++i) {
+      out->push_back({rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0),
+                      rng.Uniform(-5.0, 5.0)});
+    }
+    return out;
+  }();
+  const index::BrTree tree(pts);
+  core::QclusterOptions options;
+  options.k = 100;
+  options.use_query_cache = use_query_cache;
+  core::QclusterEngine engine(pts, &tree, options);
+  std::vector<RoundWork> work;
+  auto note = [&](std::vector<Neighbor> result) {
+    const index::SearchStats& s = engine.last_search_stats();
+    work.push_back(RoundWork{s.leaves_visited, s.nodes_visited,
+                             s.distance_evaluations,
+                             engine.warm_start().size()});
+    results->push_back(std::move(result));
+  };
+  note(engine.InitialQuery({1.5, 0.25, -0.5}));
+  for (int round = 0; round < 5; ++round) {
+    std::vector<core::RelevantItem> marked;
+    for (const Neighbor& n : results->back()) {
+      if (n.id < 600) marked.push_back(core::RelevantItem{n.id, 1.0});
+    }
+    note(engine.Feedback(marked));
+  }
+  return work;
+}
+
+TEST(WarmSessionWorkTest, PerRoundWorkIsPinned) {
+  // Fig. 7 counts leaf reads per feedback round. These are the warm and
+  // cold BR-tree paths' per-round counts at a fixed seed; a change to
+  // either path's IO sequence or candidate bookkeeping shows up here in
+  // every build configuration.
+  std::vector<std::vector<Neighbor>> warm_results;
+  std::vector<std::vector<Neighbor>> cold_results;
+  const std::vector<RoundWork> warm = SessionWork(true, &warm_results);
+  const std::vector<RoundWork> cold = SessionWork(false, &cold_results);
+  EXPECT_EQ(warm_results, cold_results);
+  const std::vector<RoundWork> expected_warm = {
+      {17, 49, 396, 396}, {2, 52, 443, 443}, {1, 51, 467, 467},
+      {0, 49, 467, 467},  {0, 49, 467, 467}, {0, 49, 467, 467}};
+  const std::vector<RoundWork> expected_cold = {
+      {17, 49, 396, 0}, {18, 52, 420, 0}, {18, 51, 421, 0},
+      {17, 49, 398, 0}, {17, 49, 398, 0}, {17, 49, 398, 0}};
+  EXPECT_EQ(warm, expected_warm);
+  EXPECT_EQ(cold, expected_cold);
+}
+
+TEST(WarmSessionWorkTest, LeafHitsAndMissesSplitTheWarmDescent) {
+  // Warm searches count the leaves their descent reached: cached pages as
+  // hits, fetched pages as misses. The misses are the pinned session's leaf
+  // reads after the cold initial query (2 + 1).
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
+  SetMetricsEnabled(true);
+  std::vector<std::vector<Neighbor>> results;
+  SessionWork(true, &results);
+  SetMetricsEnabled(false);
+  EXPECT_EQ(registry.CounterValue("index.br_tree.warm.leaf_misses"), 3);
+  EXPECT_EQ(registry.CounterValue("index.br_tree.warm.leaf_hits"), 84);
+  // Nothing is recorded while metrics are off.
+  registry.Reset();
+  SessionWork(true, &results);
+  EXPECT_EQ(registry.CounterValue("index.br_tree.warm.leaf_misses"), 0);
+  EXPECT_EQ(registry.CounterValue("index.br_tree.warm.leaf_hits"), 0);
 }
 
 }  // namespace
